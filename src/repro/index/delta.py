@@ -553,6 +553,20 @@ class MutableIndex:
         with self._lock:
             return len(self._segments)
 
+    def is_current(self) -> bool:
+        """True when ``state.json`` on disk is the manifest this instance
+        last loaded or committed.
+
+        Checked under the store lock, which every commit holds from its
+        ``os.replace`` until ``committed_state_digest`` is updated: a
+        commit in flight is waited out, never mistaken for an external
+        rewrite of the store.
+        """
+        with self._lock:
+            return self.committed_state_digest == _digest_of(
+                self.path / MANIFEST_NAME
+            )
+
     def _n_rows_locked(self) -> int:
         return (
             self._base_n

@@ -14,8 +14,7 @@ Design points, all stdlib:
   never grow without limit no matter how chatty an instrumentation
   site is.
 * **Context propagation** rides :mod:`contextvars`, so the "current
-  span" follows both threads (each handler thread sees its own) and
-  asyncio tasks (each task inherits its creator's context) without any
+  span" follows each handler thread (each sees its own) without any
   explicit plumbing.  Crossing an *explicit* boundary -- the dispatcher
   thread picking a queued request back up -- uses :func:`activate`.
 * **Sampling decides retention, not creation.**  Spans are always

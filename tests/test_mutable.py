@@ -358,6 +358,73 @@ def test_concurrent_hammer_matches_serial_rebuild(tmp_path):
     assert snap["repro_mutable_compactions_total"] == 0
     assert svc.metrics.snapshot()["repro_mutable_compactions_total"] == 1
     _assert_bit_identical(svc.engine_for(root), model, queries)
+
+
+def test_cache_keeps_one_writer_through_slow_commits(tmp_path, monkeypatch):
+    """Concurrent appends on a fresh store through one service: every
+    acknowledged id survives, and the cache loads the store exactly once.
+
+    A slow directory fsync holds every manifest commit open between its
+    ``os.replace`` and the writer recording the new digest.  A cache
+    lookup in that window must wait the commit out, not mistake it for
+    an external rewrite and reload the store (dropping the live writer's
+    unsealed buffer), and concurrent first lookups must share one
+    writer rather than each building their own.
+    """
+    import time
+
+    import repro.index.delta as delta_mod
+
+    d = 4
+    data = _dataset(64, d, 3)
+    root = tmp_path / "slow"
+    MutableIndex.create(root, data, _eps_for(data), seal_threshold=4)
+    real_fsync_dir = delta_mod._fsync_dir
+
+    def slow_fsync_dir(path):
+        real_fsync_dir(path)
+        time.sleep(0.02)
+
+    monkeypatch.setattr(delta_mod, "_fsync_dir", slow_fsync_dir)
+    svc = QueryService()
+    n_threads, appends_per_thread = 4, 8
+    acked = [[] for _ in range(n_threads)]
+    errors = []
+    barrier = threading.Barrier(n_threads)
+
+    def writer(w):
+        try:
+            rng = np.random.default_rng(w)
+            barrier.wait()
+            # Paced, pipelined submits: each one is a cache lookup, and
+            # they keep arriving while the dispatcher sits in commits.
+            pending = []
+            for _ in range(appends_per_thread):
+                rows = rng.normal(0, 1.0, size=(int(rng.integers(1, 3)), d))
+                pending.append(svc.submit_append(root, rows))
+                time.sleep(0.01)
+            for p in pending:
+                acked[w].extend(int(i) for i in p.result(timeout=30.0))
+        except BaseException as exc:  # surfaced after join
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=writer, args=(w,)) for w in range(n_threads)
+    ]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+            assert not t.is_alive()
+        assert not errors, errors
+        ids = [gid for per in acked for gid in per]
+        assert len(set(ids)) == len(ids)  # one writer minted every id
+        live = set(svc.engine_for(root).live_ids().tolist())
+        assert set(ids) <= live
+        assert svc.cache.misses == 1
+    finally:
+        svc.stop()
     svc.stop()
 
 

@@ -368,16 +368,15 @@ class TestJsonl:
 
 
 # ----------------------------------------------------------------------
-# HTTP wiring (both front ends)
+# HTTP wiring
 # ----------------------------------------------------------------------
 
 
 class TestHttpTracing:
-    @pytest.mark.parametrize("frontend", ["thread", "async"])
-    def test_request_id_echo_and_span_tree(self, indexed, frontend):
+    def test_request_id_echo_and_span_tree(self, indexed):
         path, data, eps = indexed
         q = _queries(data, nq=6)
-        with _Server(path, frontend=frontend, trace_sample=1.0) as srv:
+        with _Server(path, trace_sample=1.0) as srv:
             conn = srv.connect()
             try:
                 status, _body, hdrs = _post(
